@@ -19,6 +19,7 @@ __all__ = [
     "Employee",
     "OracleMismatch",
     "check_rows",
+    "draw_salary",
     "generate",
 ]
 
@@ -31,6 +32,24 @@ define type Employee as (eno: int4, salary: float8, dept: ref Department)
 create {own ref Department} Departments
 create {own ref Employee} Employees
 """
+
+#: the forall shape asks for the departments on FORALL_FLOOR whose
+#: employees all earn more than FORALL_THRESHOLD. Generated and written
+#: salaries are above it, except one anchor employee in each department
+#: on that floor but FORALL_DEPT; anchors are never written. So the
+#: answer is FORALL_DEPT alone on every seed and after every write, and
+#: an engine that read ``every`` as ``some``, or ignored ``E`` altogether,
+#: would return the other departments on that floor as well.
+FORALL_FLOOR = 1
+FORALL_THRESHOLD = 20000.0
+FORALL_DEPT = 0
+#: kids per employee: 0..MAX_KIDS, spread evenly
+MAX_KIDS = 3
+
+
+def draw_salary(rng: random.Random) -> float:
+    """A whole-thousand salary above FORALL_THRESHOLD (21k-100k)."""
+    return float(rng.randint(21, 100)) * 1000.0
 
 
 class OracleMismatch(AssertionError):
@@ -56,6 +75,8 @@ class Company:
     depts: list
     employees: dict  # eno -> Employee
     next_eno: int = 0
+    #: enos of the forall anchors (see FORALL_DEPT); never written
+    anchors: frozenset = frozenset()
 
     # -- the ledger of acknowledged writes ---------------------------------
 
@@ -68,6 +89,10 @@ class Company:
 
     def remove(self, eno: int) -> None:
         del self.employees[eno]
+
+    def writable(self) -> list:
+        """Live enos that writes may choose: all but the anchors."""
+        return [eno for eno in self.employees if eno not in self.anchors]
 
     def live_objects(self) -> int:
         """Objects the engine must hold: departments, employees, kids."""
@@ -148,15 +173,16 @@ def _balanced(rng: random.Random, values: list, count: int) -> list:
     return out
 
 
-def generate(seed: int, employees: int, departments: int,
-             max_kids: int = 3) -> Company:
+def generate(seed: int, employees: int, departments: int) -> Company:
     """Departments and employees from ``random.Random(seed)``.
 
     Department ``d`` is on floor ``d % 5 + 1``. Departments, kid counts
-    (0..max_kids), kid ages (1-18) and whole-thousand salaries (20k-100k,
+    (0..MAX_KIDS), kid ages (1-18) and whole-thousand salaries (21k-100k,
     exact in binary, so sums and averages have one right answer) are
     spread evenly and shuffled, so every seed gives each query shape the
-    same number of rows to scan and to return. Ages are 21-65.
+    same number of rows to scan and to return. Ages are 21-65. The first
+    employee of each department on FORALL_FLOOR but FORALL_DEPT is its
+    anchor, with salary FORALL_THRESHOLD.
     """
     rng = random.Random(seed)
     depts = [
@@ -165,8 +191,8 @@ def generate(seed: int, employees: int, departments: int,
     ]
     company = Company(depts=depts, employees={})
     dept_of = _balanced(rng, list(range(departments)), employees)
-    kid_counts = _balanced(rng, list(range(max_kids + 1)), employees)
-    salaries = _balanced(rng, [float(k) * 1000.0 for k in range(20, 101)],
+    kid_counts = _balanced(rng, list(range(MAX_KIDS + 1)), employees)
+    salaries = _balanced(rng, [float(k) * 1000.0 for k in range(21, 101)],
                          employees)
     kid_ages = iter(_balanced(rng, list(range(1, 19)), sum(kid_counts)))
     for eno in range(employees):
@@ -179,6 +205,13 @@ def generate(seed: int, employees: int, departments: int,
             dept=dept_of[eno],
             kids=kids,
         ))
+    anchors = {}
+    for e in company.employees.values():
+        if (depts[e.dept][1] == FORALL_FLOOR and e.dept != FORALL_DEPT
+                and e.dept not in anchors):
+            anchors[e.dept] = e.eno
+            e.salary = FORALL_THRESHOLD
+    company.anchors = frozenset(anchors.values())
     return company
 
 

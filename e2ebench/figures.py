@@ -88,7 +88,6 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--workloads", default=None)
-    parser.add_argument("--no-trace", action="store_true")
     options = parser.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
         spec = json.load(handle)
@@ -108,8 +107,7 @@ def main() -> int:
         for seed in range(1, options.seeds + 1):
             runs[workload]["untraced"].append(_run(workload, seed, seconds, 0))
             print(f"{workload} seed {seed} done", file=sys.stderr)
-        if not options.no_trace:
-            runs[workload]["traced"] = _run(workload, 1, seconds, 1)
+        runs[workload]["traced"] = _run(workload, 1, seconds, 1)
         os.makedirs(os.path.join(ROOT, ".e2ebench"), exist_ok=True)
         with open(os.path.join(ROOT, ".e2ebench", "figures.json"), "w",
                   encoding="utf-8") as handle:
@@ -146,16 +144,15 @@ def main() -> int:
                 f"{100 * spread(values):.1f}% | {_fmt(statistics.median(raw))} | "
                 f"{100 * spread(raw):.1f}% | {100 * bound:.0f}% |")
         traced = runs[workload]["traced"]
-        if traced is not None:
-            plain = statistics.median(
-                r["result"]["metrics"]["ops_per_s"]["value"] for r in untraced)
-            with_trace = traced["result"]["metrics"]["trace.ops_per_s"]["value"]
-            out += ["", f"Tracing overhead: {with_trace:.1f} operations/s traced "
-                    f"against {plain:.1f} untraced "
-                    f"({100 * (plain / with_trace - 1):.0f}% more time per "
-                    f"operation).", "", "Where the time goes (traced run, seed 1):",
-                    ""]
-            out += _where_time_goes(traced)
+        plain = statistics.median(
+            r["result"]["metrics"]["ops_per_s"]["value"] for r in untraced)
+        with_trace = traced["result"]["metrics"]["trace.ops_per_s"]["value"]
+        out += ["", f"Tracing overhead: {with_trace:.1f} operations/s traced "
+                f"against {plain:.1f} untraced "
+                f"({100 * (plain / with_trace - 1):.0f}% more time per "
+                f"operation).", "", "Where the time goes (traced run, seed 1):",
+                ""]
+        out += _where_time_goes(traced)
         out.append("")
     print("\n".join(out))
     return 0

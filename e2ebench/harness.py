@@ -5,7 +5,9 @@ A workload calls :meth:`Run.op` once per statement (or transaction).
 and counts it as failed when it raises; the caller checks the answer
 against the oracle afterwards, outside the timed interval. Timed phases
 run whole rounds of the same operations until the run's time is up, so
-every run attempts the same mix.
+every run attempts the same mix. The one-off phases around them (set-up,
+checkpoints, recovery after an unclean stop) are repeated a fixed number
+of times by the helpers below, the same for every workload.
 """
 
 from __future__ import annotations
@@ -18,16 +20,28 @@ import time
 from collections import Counter, defaultdict
 from typing import Any, Callable, Optional
 
-from company import OracleMismatch
+from company import Company, OracleMismatch, check_rows
 from speed import SpeedClock
 
-__all__ = ["Run", "SHAPES", "STATEMENT_CLASSES", "percentile"]
+__all__ = ["Run", "SHAPES", "STATEMENT_CLASSES", "TAIL_WRITES",
+           "close_database", "percentile", "recover", "repeat_checkpoints",
+           "repeat_setup", "verify_recovered"]
 
 #: the five paper query shapes, one latency metric each
 SHAPES = ("path", "refchase", "over", "forall", "join")
 
 #: statement classes whose latencies make up ``ops_per_s``
 STATEMENT_CLASSES = SHAPES + ("lookup_hit", "lookup_miss", "write", "txn")
+
+#: set-ups, checkpoints and recoveries per run; their medians are reported
+SETUPS = 3
+CHECKPOINTS = 12
+RECOVERIES = 9
+#: acknowledged writes before each measured checkpoint
+CHECKPOINT_WRITES = 5
+#: acknowledged point writes after the last checkpoint, which recovery
+#: replays from the log
+TAIL_WRITES = 40
 
 
 def percentile(values: list, q: float) -> float:
@@ -252,6 +266,60 @@ class Run:
             "errors": self.errors[:10],
             "mismatches": self.mismatches[:10],
         }
+
+
+def repeat_setup(run: Run, load: Callable[[], Any],
+                 discard: Callable[[Any], None]) -> Any:
+    """``setup_s``: load SETUPS times, discarding all but the last."""
+    db = None
+    for _attempt in range(SETUPS):
+        if db is not None:
+            discard(db)
+            db = None  # let the phase's full collection free it
+        db = run.phase("setup", load)
+    return db
+
+
+def repeat_checkpoints(run: Run, db: Any, write: Callable[[], None]) -> None:
+    """``checkpoint_ms``: CHECKPOINTS times, CHECKPOINT_WRITES calls of
+    ``write`` and then a checkpoint with compaction; the same work on
+    every run, whatever the number of rounds."""
+    for _ in range(CHECKPOINTS):
+        for _ in range(CHECKPOINT_WRITES):
+            write()
+        run.phase("checkpoint", lambda: (db.checkpoint(), db.compact()))
+
+
+def recover(run: Run, open_db: Callable[[], Any]) -> Any:
+    """``recovery_s``: open the directory left by an unclean stop
+    RECOVERIES times; returns the last database opened."""
+    db = None
+    for _attempt in range(RECOVERIES):
+        if db is not None:
+            close_database(db)
+            db = None
+        db = run.phase("recovery", open_db)
+    return db
+
+
+def verify_recovered(run: Run, db: Any, company: Company) -> None:
+    """Every acknowledged write is readable, and nothing else is."""
+    result = db.execute("retrieve (E.eno, E.name, E.salary) from E in Employees")
+    run.check("recovered rows",
+              lambda: check_rows("recovered rows", result.rows, company.all_rows()))
+    live = len(db.objects)
+    if live != company.live_objects():
+        run.mismatches.append(
+            f"recovered object count {live}, ledger {company.live_objects()}")
+
+
+def close_database(db: Any) -> None:
+    """Stop the worker pool, close the database and its file disk."""
+    db.interpreter.shutdown_parallel()
+    db.close()
+    disk = getattr(db.store, "disk", None)
+    if disk is not None and hasattr(disk, "close"):
+        disk.close()
 
 
 def peak_rss_mb_self() -> float:

@@ -21,7 +21,6 @@ inserts made through the Python API are not written to the log.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import os
 import random
@@ -29,17 +28,18 @@ import shutil
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from company import SCHEMA, Company, Employee, check_rows, generate
-from harness import (SHAPES, STATEMENT_CLASSES, Run, dir_bytes,
-                     peak_rss_mb_self)
+from company import (FORALL_FLOOR, FORALL_THRESHOLD, SCHEMA, Company,
+                     Employee, check_rows, draw_salary, generate)
+from harness import (SHAPES, STATEMENT_CLASSES, TAIL_WRITES, Run,
+                     close_database, dir_bytes, peak_rss_mb_self, recover,
+                     repeat_checkpoints, repeat_setup, verify_recovered)
 
 __all__ = ["CONFIGS", "InProcessConfig", "run_inprocess"]
 
 INDEX = "create index on Employees (eno) using hash"
-#: writes before each measured checkpoint
-CHECKPOINT_WRITES = 5
-#: writes after the last checkpoint that recovery replays from the log
-TAIL_REPLACES = 40
+#: repeated-text and fresh-literal point lookups per round, each
+LOOKUPS = 16
+#: append/delete pairs after the last checkpoint, besides TAIL_WRITES
 TAIL_APPENDS = 5
 
 
@@ -51,40 +51,32 @@ class InProcessConfig:
     #: object cache size as a fraction of the live objects (paged only)
     cache_fraction: Optional[float]
     #: per round
-    lookups: int
     replaces: int
     #: share of replaces that go to the hottest tenth of the keys
     hot_share: float
     txn_replaces: int
     txn_appends: int
     checkpoint_every: int
-    #: set-ups, final checkpoints and recoveries per run (their medians
-    #: are reported)
-    setups: int = 3
-    checkpoints: int = 12
-    recoveries: int = 9
 
 
 CONFIGS = {
     "paper_queries": InProcessConfig(
         storage="memory", employees=5000, departments=20,
-        cache_fraction=None, lookups=16, replaces=4, hot_share=0.0,
+        cache_fraction=None, replaces=4, hot_share=0.0,
         txn_replaces=2, txn_appends=0, checkpoint_every=6),
     "paged_cold": InProcessConfig(
         storage="paged", employees=400, departments=8,
-        cache_fraction=0.1, lookups=16, replaces=2, hot_share=0.8,
+        cache_fraction=0.1, replaces=2, hot_share=0.8,
         txn_replaces=0, txn_appends=4, checkpoint_every=4),
 }
 
 
-#: literals of the five shapes; with the balanced data of
-#: :func:`company.generate` each returns the same number of rows for
-#: every seed
+#: literals of the five shapes (the forall ones are in :mod:`company`);
+#: with the balanced data of :func:`company.generate` each returns the
+#: same number of rows for every seed
 PATH_MAX_AGE = 4
 REFCHASE_FLOOR = 3
 JOIN_FLOOR = 2
-FORALL_FLOOR = 1
-FORALL_THRESHOLD = 19000.0
 
 
 def shape_texts(company: Company) -> dict:
@@ -129,16 +121,19 @@ def delete_text(eno: int) -> str:
 
 class _Keys:
     """Key choice: a repeated hot key, a cycle of fresh keys for misses,
-    and (optionally skewed) keys for writes."""
+    and (optionally skewed) keys for writes, which never choose an
+    anchor of the forall shape."""
 
-    def __init__(self, rng: random.Random, enos: list, hot_share: float):
+    def __init__(self, rng: random.Random, company: Company,
+                 hot_share: float):
         self.rng = rng
-        self.enos = list(enos)
+        self.enos = list(company.employees)
+        self.writable = company.writable()
         self.hit = rng.choice(self.enos)
         self._fresh = list(self.enos)
         rng.shuffle(self._fresh)
         self._next = 0
-        hot = list(self.enos)
+        hot = list(self.writable)
         rng.shuffle(hot)
         self.hot = hot[:max(1, len(hot) // 10)]
         self.hot_share = hot_share
@@ -151,7 +146,7 @@ class _Keys:
     def write(self) -> int:
         if self.rng.random() < self.hot_share:
             return self.rng.choice(self.hot)
-        return self.rng.choice(self.enos)
+        return self.rng.choice(self.writable)
 
 
 def _open(config: InProcessConfig, directory: str, cache: Optional[int]) -> Any:
@@ -160,14 +155,6 @@ def _open(config: InProcessConfig, directory: str, cache: Optional[int]) -> Any:
     if config.storage == "paged":
         return Database.open(directory, storage="paged", cache_capacity=cache)
     return Database.open(directory)
-
-
-def _close(db: Any) -> None:
-    db.interpreter.shutdown_parallel()
-    db.close()
-    disk = getattr(db.store, "disk", None)
-    if disk is not None and hasattr(disk, "close"):
-        disk.close()
 
 
 def _load(run: Run, config: InProcessConfig, company: Company,
@@ -205,17 +192,11 @@ def run_inprocess(name: str, seed: int, seconds: float, tracer: Any = None,
                     live_objects=company.live_objects(),
                     cache_capacity=cache, storage=config.storage)
 
-    db = None
-    for _attempt in range(config.setups):
-        if db is not None:
-            _close(db)
-            db = None
-            gc.collect()
-        db = run.phase("setup", lambda: _load(run, config, company,
-                                              directory, cache))
+    db = repeat_setup(run, lambda: _load(run, config, company, directory,
+                                         cache), close_database)
 
     shapes = shape_texts(company)
-    keys = _Keys(rng, list(company.employees), config.hot_share)
+    keys = _Keys(rng, company, config.hot_share)
     appended: list = []
     store_before = db.storage_stats()
     if tracer is not None:
@@ -231,7 +212,7 @@ def run_inprocess(name: str, seed: int, seconds: float, tracer: Any = None,
 
     def replace(cls: str) -> None:
         eno = keys.write()
-        salary = float(rng.randint(20, 100)) * 1000.0
+        salary = draw_salary(rng)
         if execute(cls, replace_text(eno, salary)) is not None:
             company.set_salary(eno, salary)
 
@@ -241,11 +222,8 @@ def run_inprocess(name: str, seed: int, seconds: float, tracer: Any = None,
         eno = next(enos)
         return Employee(eno=eno, name=f"N{eno}",
                         age=rng.randint(21, 65),
-                        salary=float(rng.randint(20, 100)) * 1000.0,
+                        salary=draw_salary(rng),
                         dept=rng.randrange(len(company.depts)))
-
-    def checkpoint(name: str) -> None:
-        run.phase(name, lambda: (db.checkpoint(), db.compact()))
 
     more = run.until(seconds)
     rounds = 0
@@ -260,8 +238,7 @@ def run_inprocess(name: str, seed: int, seconds: float, tracer: Any = None,
             appended.append(employee.eno)
         # an explicit transaction
         txn_keys = [keys.write() for _ in range(config.txn_replaces)]
-        txn_salaries = [float(rng.randint(20, 100)) * 1000.0
-                        for _ in txn_keys]
+        txn_salaries = [draw_salary(rng) for _ in txn_keys]
         txn_new = [new_employee() for _ in range(config.txn_appends)]
 
         def transaction() -> bool:
@@ -295,27 +272,23 @@ def run_inprocess(name: str, seed: int, seconds: float, tracer: Any = None,
             if result is not None:
                 run.check(shape, lambda: check_rows(shape, result.rows, expect()))
         # point reads: a repeated text, then fresh literals
-        for _ in range(config.lookups):
+        for _ in range(LOOKUPS):
             eno = keys.hit
             result = execute("lookup_hit", lookup_text(eno))
             if result is not None:
                 run.check("lookup_hit", lambda: check_rows(
                     "lookup_hit", result.rows, company.lookup_rows(eno)))
-        for _ in range(config.lookups):
+        for _ in range(LOOKUPS):
             eno = keys.fresh()
             result = execute("lookup_miss", lookup_text(eno))
             if result is not None:
                 run.check("lookup_miss", lambda: check_rows(
                     "lookup_miss", result.rows, company.lookup_rows(eno)))
         if rounds % config.checkpoint_every == 0:
-            checkpoint("periodic_checkpoint")
+            run.phase("periodic_checkpoint",
+                      lambda: (db.checkpoint(), db.compact()))
     run.info["rounds"] = rounds
-    # checkpoint_ms: the same work on every run, whatever the number of
-    # rounds: a few writes, then checkpoint and compaction
-    for _ in range(config.checkpoints):
-        for _ in range(CHECKPOINT_WRITES):
-            replace("tail")
-        checkpoint("checkpoint")
+    repeat_checkpoints(run, db, lambda: replace("tail"))
     run.info["disk_bytes_per_obj"] = dir_bytes(directory) / company.live_objects()
     run.info["peak_rss_mb"] = peak_rss_mb_self()
     run.info["store_before"] = store_before
@@ -324,7 +297,7 @@ def run_inprocess(name: str, seed: int, seconds: float, tracer: Any = None,
 
     # a fixed tail of acknowledged writes after the last checkpoint, for
     # recovery to replay from the log
-    for _ in range(TAIL_REPLACES):
+    for _ in range(TAIL_WRITES):
         replace("tail")
     for _ in range(TAIL_APPENDS):
         employee = new_employee()
@@ -339,26 +312,11 @@ def run_inprocess(name: str, seed: int, seconds: float, tracer: Any = None,
     # closing it, and recover from what is on disk
     db.interpreter.shutdown_parallel()
     abandoned = db
-    recovered = None
-    for _attempt in range(config.recoveries):
-        if recovered is not None:
-            _close(recovered)
-        recovered = run.phase("recovery", lambda: _open(config, directory, cache))
+    recovered = recover(run, lambda: _open(config, directory, cache))
     if tracer is not None:
         tracer.enabled = False
-    _verify_recovered(run, recovered, company)
-    _close(recovered)
+    verify_recovered(run, recovered, company)
+    close_database(recovered)
     del abandoned
     run.gc.close()
     return run
-
-
-def _verify_recovered(run: Run, db: Any, company: Company) -> None:
-    """Every acknowledged write is readable, and nothing else is."""
-    result = db.execute("retrieve (E.eno, E.name, E.salary) from E in Employees")
-    run.check("recovered rows",
-              lambda: check_rows("recovered rows", result.rows, company.all_rows()))
-    live = len(db.objects)
-    if live != company.live_objects():
-        run.mismatches.append(
-            f"recovered object count {live}, ledger {company.live_objects()}")

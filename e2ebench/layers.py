@@ -143,11 +143,10 @@ def _count(tracer: Tracer, name: str) -> Callable:
     return after
 
 
-def install(tracer: Tracer, *, engine: bool = True, wire: bool = False) -> None:
-    """Wrap the engine's layer functions (``engine``) and the wire
-    protocol's framing functions (``wire``) in this process."""
-    if engine:
-        _install_engine(tracer)
+def install(tracer: Tracer, *, wire: bool = False) -> None:
+    """Wrap the engine's layer functions, and with ``wire`` the wire
+    protocol's framing functions, in this process."""
+    _install_engine(tracer)
     if wire:
         _install_wire(tracer)
 

@@ -46,7 +46,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool,
     tracer = None
     if trace:
         tracer = Tracer()
-        install(tracer, engine=True, wire=workload == "wire_oltp")
+        install(tracer, wire=workload == "wire_oltp")
     if prepare is not None:
         prepare(tracer)
     try:

@@ -9,20 +9,24 @@ Run from the root of a checkout.
 ``oracle`` checks that the plain-Python answers agree with the engine on
 a small company, and that a deliberately altered engine result (a row
 dropped, duplicated or changed, a float perturbed, a write left out of
-the ledger) makes the check fail.
+the ledger, the forall shape run without its quantifier) makes the check
+fail.
 
 ``slowdown`` makes one public layer function take 20% longer (a spin
 after each call, worth a fifth of that call's own duration) and checks
 that the end-to-end metric the README names for that layer moves past
 its bound on the named workload, and stays within its bound on a
-workload that bypasses the layer. Each run is a fresh process; the
-medians over ``--seeds`` seeds are compared, baseline and slowed runs
+workload that bypasses the layer. A server-side function is slowed in
+the server process, which ``serve`` starts in place of
+``python -m repro.server``. Each run is a fresh process; the medians
+over ``--seeds`` seeds are compared, baseline and slowed runs
 alternating.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import statistics
@@ -34,7 +38,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
 #: layer -> (module, owner, attribute, moved (workload, metric),
-#:           bypassed (workload, metric))
+#:           bypassed (workload, metric)); the ``server`` function runs
+#: in the server process
 LAYERS = {
     "excess": ("repro.excess.evaluator", "Evaluator", "run_retrieve",
                ("paper_queries", "over_p50_ms"),
@@ -42,10 +47,11 @@ LAYERS = {
     "storage": ("repro.storage.object_store", "PagedObjectStore", "fetch",
                 ("paged_cold", "refchase_p50_ms"),
                 ("paper_queries", "refchase_p50_ms")),
-    "server": ("repro.server.client", "Client", "call",
-               ("wire_oltp", "lookup_hit_p50_ms"),
-               ("paper_queries", "lookup_hit_p50_ms")),
+    "server": ("repro.server.server", "ExcessServer", "_respond",
+               ("wire_oltp", "lookup_miss_p50_ms"),
+               ("paper_queries", "lookup_miss_p50_ms")),
 }
+SERVER_SIDE = {"server"}
 
 SLOWDOWN = 0.20
 
@@ -56,11 +62,12 @@ def oracle() -> int:
     sys.path.insert(0, os.path.join(os.getcwd(), "src"))
     from repro import Database
 
-    from company import SCHEMA, OracleMismatch, check_rows, generate
+    from company import (FORALL_FLOOR, SCHEMA, OracleMismatch, check_rows,
+                         generate)
     from inproc import lookup_text, replace_text, shape_texts
 
-
-    company = generate(7, employees=60, departments=4)
+    # six departments: two on the forall floor, one of them an answer
+    company = generate(7, employees=60, departments=6)
     db = Database()
     db.interpreter.parallel_mode = "off"
     db.execute(SCHEMA)
@@ -103,6 +110,16 @@ def oracle() -> int:
     nudged = [(over[0][0], over[0][1] * (1 + 1e-6))] + over[1:]
     expect_fail("average off by one part in a million", nudged,
                 company.over_rows())
+    # the forall shape with its quantifier read wrongly: a plain range
+    # (``some``), and the quantified variable dropped altogether
+    forall, expect = shapes["forall"]
+    for label, text in (
+            ("forall without every",
+             forall.replace("E in every Employees", "E in Employees")),
+            ("forall without E",
+             f"retrieve (D.dname) from D in Departments "
+             f"where D.floor = {FORALL_FLOOR}")):
+        expect_fail(label, db.execute(text).rows, expect())
     for failure in failures:
         print(f"FAIL {failure}")
     print(f"oracle self-test: {'FAILED' if failures else 'passed'}")
@@ -111,6 +128,13 @@ def oracle() -> int:
 
 # -- layer slowdown self-test ------------------------------------------------
 
+def _spin(start: float) -> None:
+    """Busy-wait for SLOWDOWN of the time since ``start``."""
+    until = time.perf_counter() + SLOWDOWN * (time.perf_counter() - start)
+    while time.perf_counter() < until:
+        pass
+
+
 def _install_slowdown(layer: str) -> None:
     import importlib
 
@@ -118,16 +142,41 @@ def _install_slowdown(layer: str) -> None:
     owner = getattr(importlib.import_module(module_name), owner_name)
     original = getattr(owner, attr)
 
-    def slowed(*args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return original(*args, **kwargs)
-        finally:
-            until = time.perf_counter() + SLOWDOWN * (time.perf_counter() - start)
-            while time.perf_counter() < until:
-                pass
+    if inspect.iscoroutinefunction(original):
+        async def slowed(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return await original(*args, **kwargs)
+            finally:
+                _spin(start)
+    else:
+        def slowed(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                _spin(start)
 
     setattr(owner, attr, slowed)
+
+
+def serve(layer: str, argv: list) -> int:
+    """``python -m repro.server`` with ``layer``'s function slowed."""
+    _install_slowdown(layer)
+    from repro.server import server
+
+    return server.main(argv)
+
+
+def _slow_server(layer: str) -> None:
+    """Make ``wire_oltp`` start its server through :func:`serve`."""
+    import wire
+
+    def command(_traced: bool, _trace_out: str) -> list:
+        return [sys.executable, "-u", os.path.abspath(__file__), "serve",
+                layer]
+
+    wire.server_command = command
 
 
 def child(options: argparse.Namespace) -> int:
@@ -143,7 +192,9 @@ def child(options: argparse.Namespace) -> int:
                            f"selftest-{os.getpid()}")
     os.makedirs(workdir, exist_ok=True)
     prepare = None
-    if options.slow:
+    if options.slow in SERVER_SIDE:
+        prepare = lambda _tracer: _slow_server(options.slow)  # noqa: E731
+    elif options.slow:
         prepare = lambda _tracer: _install_slowdown(options.slow)  # noqa: E731
     try:
         run, _tracer = run_workload(options.workload, options.seed,
@@ -212,6 +263,8 @@ def main() -> int:
     kid.add_argument("--seed", type=int, required=True)
     kid.add_argument("--seconds", type=float, required=True)
     kid.add_argument("--slow", default="")
+    if sys.argv[1:2] == ["serve"]:  # serve LAYER SERVER-ARGUMENTS...
+        return serve(sys.argv[2], sys.argv[3:])
     options = parser.parse_args()
     if options.command == "oracle":
         return oracle()

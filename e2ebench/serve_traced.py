@@ -37,7 +37,7 @@ def main() -> int:
     del argv[at:at + 2]
 
     tracer = Tracer()
-    install(tracer, engine=True, wire=True)
+    install(tracer, wire=True)
 
     from repro.server import server
 

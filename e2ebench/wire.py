@@ -26,27 +26,34 @@ import sys
 import time
 from typing import Any
 
-from company import SCHEMA, Company, Employee, check_rows, generate
-from harness import SHAPES, Run, dir_bytes, peak_rss_mb_of
+from company import (SCHEMA, Company, Employee, check_rows, draw_salary,
+                     generate)
+from harness import (SHAPES, TAIL_WRITES, Run, close_database, dir_bytes,
+                     peak_rss_mb_of, recover, repeat_checkpoints,
+                     repeat_setup, verify_recovered)
 from inproc import (INDEX, _Keys, delete_text, lookup_text, replace_text,
                     shape_texts)
 
-__all__ = ["run_wire"]
+__all__ = ["run_wire", "server_command"]
 
 EMPLOYEES = 600
 DEPARTMENTS = 8
 LOOKUPS = 6
-SETUPS = 3
-RECOVERIES = 9
-CHECKPOINTS = 12
-CHECKPOINT_WRITES = 5
-TAIL_WRITES = 40
 #: statements per load request (each request is one transaction)
 LOAD_CHUNK = 50
 #: server-side statements are tagged with this many leading characters
 TAG_CHARS = 20
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def server_command(traced: bool, trace_out: str) -> list:
+    """The server's command line, up to its ``--open``/``--port``
+    arguments (the layer-slowdown self-test replaces it)."""
+    if traced:
+        return [sys.executable, "-u", os.path.join(HERE, "serve_traced.py"),
+                "--trace-out", trace_out]
+    return [sys.executable, "-u", "-m", "repro.server"]
 
 
 class _Server:
@@ -59,11 +66,7 @@ class _Server:
         env = dict(os.environ)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         self.trace_out = os.path.join(workdir, "server-trace.json")
-        if traced:
-            command = [sys.executable, "-u", os.path.join(HERE, "serve_traced.py"),
-                       "--trace-out", self.trace_out]
-        else:
-            command = [sys.executable, "-u", "-m", "repro.server"]
+        command = server_command(traced, self.trace_out)
         command += ["--open", directory, "--port", "0"]
         self._log = open(os.path.join(workdir, "server.log"), "ab")
         self.proc = subprocess.Popen(command, stdout=subprocess.PIPE,
@@ -115,22 +118,25 @@ def _load(run: Run, company: Company, directory: str, workdir: str,
     shutil.rmtree(directory, ignore_errors=True)
     server = _Server(directory, workdir, traced)
     client = server.a
-    client.query(SCHEMA)
-    client.query(INDEX)
-    depts = [
+    statements = [
         f'append to Departments (dname = "{dname}", floor = {floor}, '
         f'budget = {budget!r})'
         for dname, floor, budget in company.depts
     ]
-    statements = depts[:]
     for e in company.employees.values():
         statements.append(company.append_text(e))
         statements.extend(company.kid_texts(e))
-    for start in range(0, len(statements), LOAD_CHUNK):
-        run.clock.tick()
-        client.begin()
-        client.query("\n".join(statements[start:start + LOAD_CHUNK]))
-        client.commit()
+    try:
+        client.query(SCHEMA)
+        client.query(INDEX)
+        for start in range(0, len(statements), LOAD_CHUNK):
+            run.clock.tick()
+            client.begin()
+            client.query("\n".join(statements[start:start + LOAD_CHUNK]))
+            client.commit()
+    except BaseException:
+        server.kill()
+        raise
     return server
 
 
@@ -146,12 +152,8 @@ def run_wire(seed: int, seconds: float, tracer: Any = None,
 
     server = None
     try:
-        for _attempt in range(SETUPS):
-            if server is not None:
-                server.kill()
-                server = None
-            server = run.phase("setup", lambda: _load(
-                run, company, directory, workdir, traced))
+        server = repeat_setup(run, lambda: _load(
+            run, company, directory, workdir, traced), _Server.kill)
         tags = _traffic(run, server, company, rng, seconds, tracer)
         run.info["peak_rss_mb"] = peak_rss_mb_of(server.proc.pid)
         if traced:
@@ -166,10 +168,9 @@ def run_wire(seed: int, seconds: float, tracer: Any = None,
         server.stop()
         server = None
         server = _Server(directory, workdir, False)
-        keys = _Keys(rng, list(company.employees), 0.0)
+        keys = _Keys(rng, company, 0.0)
         for _ in range(TAIL_WRITES):
-            eno = keys.write()
-            value = float(rng.randint(20, 100)) * 1000.0
+            eno, value = keys.write(), draw_salary(rng)
             if run.op("tail", lambda: server.a.query(
                     replace_text(eno, value))) is not None:
                 company.set_salary(eno, value)
@@ -178,7 +179,7 @@ def run_wire(seed: int, seconds: float, tracer: Any = None,
             server.kill()
     if traced:
         tracer.enabled = True
-    _recover(run, company, directory, rng)
+    _recover(run, company, directory, keys, rng)
     if traced:
         tracer.enabled = False
     run.gc.close()
@@ -191,9 +192,9 @@ def _traffic(run: Run, server: _Server, company: Company, rng: random.Random,
     tags to statement classes."""
     a, b = server.a, server.b
     shapes = shape_texts(company)
-    keys = _Keys(rng, list(company.employees), 0.0)
-    even = [eno for eno in keys.enos if eno % 2 == 0]
-    odd = [eno for eno in keys.enos if eno % 2 == 1]
+    keys = _Keys(rng, company, 0.0)
+    even = [eno for eno in keys.writable if eno % 2 == 0]
+    odd = [eno for eno in keys.writable if eno % 2 == 1]
     #: server-side tag (leading text or op name) -> statement class
     tags = {"begin": "txn", "commit": "txn"}
     for shape in SHAPES:
@@ -211,9 +212,6 @@ def _traffic(run: Run, server: _Server, company: Company, rng: random.Random,
         if result is not None:
             run.note(cls, result, time.perf_counter() - t0)
         return result
-
-    def salary() -> float:
-        return float(rng.randint(20, 100)) * 1000.0
 
     traced = tracer is not None
     if traced:
@@ -240,11 +238,11 @@ def _traffic(run: Run, server: _Server, company: Company, rng: random.Random,
         # auto-commit writes: a replace on each connection, then an
         # append on one and a delete of an earlier append on the other
         for client in clients:
-            eno, value = keys.write(), salary()
+            eno, value = keys.write(), draw_salary(rng)
             if query("write", client, replace_text(eno, value)) is not None:
                 company.set_salary(eno, value)
         employee = Employee(eno=next_eno[0], name=f"N{next_eno[0]}",
-                            age=rng.randint(21, 65), salary=salary(),
+                            age=rng.randint(21, 65), salary=draw_salary(rng),
                             dept=rng.randrange(len(company.depts)))
         next_eno[0] += 1
         if query("write", a, company.append_text(employee)) is not None:
@@ -255,7 +253,7 @@ def _traffic(run: Run, server: _Server, company: Company, rng: random.Random,
             if query("write", b, delete_text(eno)) is not None:
                 company.remove(eno)
         # two transactions open at once, on disjoint keys
-        _transactions(run, a, b, company, rng, even, odd, salary)
+        _transactions(run, a, b, company, rng, even, odd)
         # one of each paper shape
         for index, shape in enumerate(SHAPES):
             text, expect = shapes[shape]
@@ -269,10 +267,10 @@ def _traffic(run: Run, server: _Server, company: Company, rng: random.Random,
 
 
 def _transactions(run: Run, a: Any, b: Any, company: Company,
-                  rng: random.Random, even: list, odd: list, salary) -> None:
+                  rng: random.Random, even: list, odd: list) -> None:
     plan = {
-        a: [(rng.choice(even), salary()) for _ in range(2)],
-        b: [(rng.choice(odd), salary()) for _ in range(2)],
+        a: [(rng.choice(even), draw_salary(rng)) for _ in range(2)],
+        b: [(rng.choice(odd), draw_salary(rng)) for _ in range(2)],
     }
     parts: dict = {a: [], b: []}
     collected: dict = {a: 0.0, b: 0.0}
@@ -313,31 +311,21 @@ def _transactions(run: Run, a: Any, b: Any, company: Company,
             company.set_salary(eno, value)
 
 
-def _recover(run: Run, company: Company, directory: str,
+def _recover(run: Run, company: Company, directory: str, keys: _Keys,
              rng: random.Random) -> None:
+    """Recovery of the killed server's directory in this process, then
+    the measured checkpoints of the recovered database."""
     from repro import Database
 
-    recovered = None
-    for _attempt in range(RECOVERIES):
-        if recovered is not None:
-            recovered.close()
-        recovered = run.phase("recovery", lambda: Database.open(directory))
-    result = recovered.execute(
-        "retrieve (E.eno, E.name, E.salary) from E in Employees")
-    run.check("recovered rows", lambda: check_rows(
-        "recovered rows", result.rows, company.all_rows()))
-    live = len(recovered.objects)
-    if live != company.live_objects():
-        run.mismatches.append(
-            f"recovered object count {live}, ledger {company.live_objects()}")
-    # checkpoint + compaction of the recovered database, each after one
-    # more acknowledged write
-    enos = list(company.employees)
-    for _ in range(CHECKPOINTS):
-        for _ in range(CHECKPOINT_WRITES):
-            recovered.execute(replace_text(rng.choice(enos), 1000.0))
-        run.phase("checkpoint", lambda: (recovered.checkpoint(),
-                                         recovered.compact()))
+    recovered = recover(run, lambda: Database.open(directory))
+    verify_recovered(run, recovered, company)
+
+    def write() -> None:
+        eno, value = keys.write(), draw_salary(rng)
+        if run.op("tail", lambda: recovered.execute(
+                replace_text(eno, value))) is not None:
+            company.set_salary(eno, value)
+
+    repeat_checkpoints(run, recovered, write)
     run.info["disk_bytes_per_obj"] = dir_bytes(directory) / company.live_objects()
-    recovered.interpreter.shutdown_parallel()
-    recovered.close()
+    close_database(recovered)
